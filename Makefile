@@ -23,8 +23,10 @@ PR ?= dev
 # federation forward bench (zero-copy publish crossing an inter-node link),
 # and the tagged-counter bench (interned-context probe lookup, pinned at
 # 0 allocs/op), and the mirrored publish bench (the confirm-path price of
-# synchronous replication, R=1 vs R=2).
-BENCH_PATTERN ?= BenchmarkAblationAckBatching|BenchmarkAblationWorkQueues|BenchmarkAblationDurabilityPayload|BenchmarkOverheadVsDTS|BenchmarkResilienceFaultRate|BenchmarkFig6aDstreamFeedbackRTT|BenchmarkFanoutPublishDeliver|BenchmarkDurableFanoutPublishDeliver|BenchmarkSeglogAppend|BenchmarkSeglogReplay|BenchmarkFederationForward|BenchmarkTaggedCounter|BenchmarkMirroredPublishDeliver
+# synchronous replication, R=1 vs R=2), and the large-body round trip
+# (1 MiB publish → deliver → ack over TLS: borrowed publish bodies and
+# pooled body loans; report-only).
+BENCH_PATTERN ?= BenchmarkAblationAckBatching|BenchmarkAblationWorkQueues|BenchmarkAblationDurabilityPayload|BenchmarkOverheadVsDTS|BenchmarkResilienceFaultRate|BenchmarkFig6aDstreamFeedbackRTT|BenchmarkFanoutPublishDeliver|BenchmarkDurableFanoutPublishDeliver|BenchmarkSeglogAppend|BenchmarkSeglogReplay|BenchmarkFederationForward|BenchmarkTaggedCounter|BenchmarkMirroredPublishDeliver|BenchmarkLargeBodyRoundTrip
 
 # MICRO_ITERS fixes the iteration count for the broker microbenchmarks:
 # unlike the figure benches (one timed scenario run each, hence 1x), the
@@ -85,9 +87,12 @@ short:
 # The root figure harness runs first so its TestMain telemetry snapshot
 # line is the one benchsnap embeds; the broker microbench output follows
 # in the same stream, then the client-scale sweep (1k/10k/100k pooled
-# clients — ns/op per delivered message, bytes/client, conns).
+# clients — ns/op per delivered message, bytes/client, conns) together
+# with the internal/amqp benches of BENCH_PATTERN (the large-body round
+# trip), which take the client sweep's fixed count: at 1 MiB a message,
+# MICRO_ITERS would stream 20 GiB through TLS.
 bench-snapshot:
 	( $(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchtime 1x -benchmem . && \
 	  $(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchtime $(MICRO_ITERS) -benchmem ./internal/broker ./internal/broker/seglog ./internal/cluster ./internal/telemetry && \
-	  $(GO) test -run '^$$' -bench 'BenchmarkClientScale' -benchtime $(SCALE_ITERS) -benchmem ./internal/amqp ) \
+	  $(GO) test -run '^$$' -bench 'BenchmarkClientScale|$(BENCH_PATTERN)' -benchtime $(SCALE_ITERS) -benchmem ./internal/amqp ) \
 		| $(GO) run ./cmd/benchsnap -out BENCH_$(PR).json

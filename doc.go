@@ -128,18 +128,25 @@
 // the content header's BodySize. From there the body is borrowed, never
 // copied — fanout/topic routing shares one refcounted broker.Message
 // across all matched queues (per-queue redelivered state lives in the
-// queue's chunked ring-deque entry, not the message), and delivery
-// writes splice the body into a vectored write straight from the shared
-// buffer. Whichever owner resolves last — ack, nack/reject discard,
+// queue's chunked ring-deque entry, not the message), and the one
+// content encoder (wire.Writer.AppendContentFrames, shared by client
+// publishes, deliveries and federation forwards) splices body chunks of
+// 64 KiB and more into the write straight from the shared buffer,
+// copying only smaller ones. Wrapped and TLS connections (every client
+// connection, the DTS/PRS broker listeners) get one Write per borrowed
+// segment, not a writev, which is why small chunks are copied. Whichever owner resolves last — ack, nack/reject discard,
 // drop-head eviction, purge, queue delete, or connection teardown —
-// returns the buffer to the pool; the wire.loaned_bytes gauge and
-// broker.body_releases counter make the lifecycle observable.
+// returns the buffer to the pool (size classes up to 4 MiB); the
+// wire.loaned_bytes gauge and broker.body_releases counter make the
+// lifecycle observable.
 //
 // Retention contract: broker embedders must balance Retain/Release on
 // managed messages (Message.Body is invalid after the final release).
-// Client applications must not hold a manual-ack amqp.Delivery.Body
-// past its acknowledgement — copy first to retain; autoAck deliveries,
-// gets, and returns own their bodies outright.
+// Channel.Publish borrows Publishing.Body until it returns (until the
+// confirm, for a tracked publish on a reconnecting connection). Client
+// applications must not hold a manual-ack amqp.Delivery.Body past its
+// acknowledgement — copy first to retain; autoAck deliveries, gets, and
+// returns own their bodies outright.
 //
 // # Durability model
 //
@@ -194,8 +201,8 @@
 // and a metadata directory any node can answer maps a queue name to its
 // current master. A client talking to the wrong node is handled two
 // ways: publishes are forwarded to the master over an inter-node
-// federation link (an AMQP connection in confirm mode; bodies cross it
-// zero-copy as borrowed refcounted buffers and the master's ack is
+// federation link (an AMQP connection in confirm mode; large bodies
+// cross it as borrowed refcounted buffers and the master's ack is
 // bridged back to the origin producer), while consumes redirect the
 // whole connection — the broker answers connection.close 302 with the
 // master's address, and amqp.Config.Reconnect re-dials it and replays

@@ -337,7 +337,7 @@ func (sc *srvConn) writeMethod(channel uint16, m wire.Method) error {
 func (sc *srvConn) writeContent(channel uint16, m wire.Method, props *wire.Properties, body []byte) error {
 	w := wire.GetWriter()
 	defer wire.PutWriter(w)
-	frames := w.AppendContentFramesZC(channel, m, props, body, sc.frameMax)
+	frames := w.AppendContentFrames(channel, m, props, body, sc.frameMax)
 	if err := w.Err(); err != nil {
 		return err
 	}
@@ -361,13 +361,13 @@ const deliveryFlushBytes = 256 * 1024
 
 // writeDeliveries emits one basic.deliver frame triplet per message as a
 // single batched vectored write (flushing early if the batch outgrows the
-// pooled buffer classes): frame headers coalesce in the writer buffer
-// while large bodies are borrowed from the shared messages and ride the
-// writev in place — body bytes are never copied between the ingest loan
-// and the socket. All frames are written under one writer-lock hold, so
-// the batch stays atomic with respect to other writers on this
-// connection; the caller holds a reference on every message until this
-// returns.
+// pooled buffer classes): frame headers and small bodies coalesce in the
+// writer buffer while large body chunks are borrowed from the shared
+// messages and ride the vectored write in place — they are never copied
+// between the ingest loan and the socket. All frames are written under
+// one writer-lock hold, so the batch stays atomic with respect to other
+// writers on this connection; the caller holds a reference on every
+// message until this returns.
 func (sc *srvConn) writeDeliveries(channel uint16, consumerTag string, msgs []*Message, tags []uint64, redelivered []bool) error {
 	w := wire.GetWriter()
 	defer wire.PutWriter(w)
@@ -381,7 +381,7 @@ func (sc *srvConn) writeDeliveries(channel uint16, consumerTag string, msgs []*M
 		deliver.Redelivered = redelivered[i]
 		deliver.Exchange = msg.Exchange
 		deliver.RoutingKey = msg.RoutingKey
-		frames += w.AppendContentFramesZC(channel, &deliver, &msg.Props, msg.Body, sc.frameMax)
+		frames += w.AppendContentFrames(channel, &deliver, &msg.Props, msg.Body, sc.frameMax)
 		bytesOut += uint64(len(msg.Body))
 		if w.Len() >= deliveryFlushBytes {
 			if err := w.Err(); err != nil {

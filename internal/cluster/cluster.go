@@ -61,6 +61,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ds2hpc/internal/amqp"
@@ -511,7 +512,7 @@ type Shovel struct {
 	dstConn *amqp.Connection
 	done    chan struct{}
 	stopped chan struct{}
-	moved   chan int64
+	moved   atomic.Int64 // messages settled: republished, confirmed when confirming, acked
 }
 
 // ShovelConfig names the endpoints and queues to bridge.
@@ -585,7 +586,6 @@ func NewShovel(cfg ShovelConfig) (*Shovel, error) {
 		dstConn: dstConn,
 		done:    make(chan struct{}),
 		stopped: make(chan struct{}),
-		moved:   make(chan int64, 1),
 	}
 	go s.run(deliveries, dstCh, cfg.DestQ, confirms)
 	return s, nil
@@ -593,7 +593,6 @@ func NewShovel(cfg ShovelConfig) (*Shovel, error) {
 
 func (s *Shovel) run(deliveries <-chan amqp.Delivery, dstCh *amqp.Channel, destQ string, confirms chan amqp.Confirmation) {
 	defer close(s.stopped)
-	var moved int64
 	for {
 		select {
 		case <-s.done:
@@ -635,26 +634,15 @@ func (s *Shovel) run(deliveries <-chan amqp.Delivery, dstCh *amqp.Channel, destQ
 				}
 			}
 			d.Ack(false)
-			moved++
-			select {
-			case <-s.moved:
-			default:
-			}
-			s.moved <- moved
+			s.moved.Add(1)
 		}
 	}
 }
 
-// Moved reports how many messages the shovel has transferred so far.
-func (s *Shovel) Moved() int64 {
-	select {
-	case n := <-s.moved:
-		s.moved <- n
-		return n
-	default:
-		return 0
-	}
-}
+// Moved reports how many messages the shovel has settled so far: each
+// one republished (and confirmed, on a confirming shovel) and acked at
+// the source.
+func (s *Shovel) Moved() int64 { return s.moved.Load() }
 
 // Stop terminates the shovel and closes its connections.
 func (s *Shovel) Stop() {

@@ -21,11 +21,11 @@ import (
 // transport.DialFunc the deployment uses between its broker nodes (plain
 // TCP in PRS/MSS, the TLS hop in DTS).
 //
-// The forward path is zero-copy end to end: the sender holds the
-// message's refcount and appends its pooled body to the link's writer as
-// borrowed iovec segments (AppendContentFramesZC), so a federated body
-// crosses the link with the same zero-copy discipline a local delivery
-// uses — no per-hop copy is reintroduced.
+// The forward path keeps the local delivery path's copy discipline: the
+// sender holds the message's refcount and the link's writer borrows the
+// pooled body's large chunks as iovec segments (AppendContentFrames), so
+// a federated body crosses the link with no more copies than a local
+// delivery makes.
 //
 // Links run in confirm mode and bridge confirms: every forward records
 // the origin channel and its publish seq; when the master acks, the
@@ -109,7 +109,10 @@ func (h *fedHub) closeAll() {
 // immediate replay on a freshly dialed link, in original seq order so the
 // master's confirm frontier stays contiguous. Entries that already rode a
 // retry, or that cannot be re-sent because the redial (or re-forward)
-// failed, are nacked.
+// failed, are nacked. Each entry of pend carries the message reference
+// the dead link's ledger held; it keeps the body alive until the entry
+// is either re-forwarded (the reference moves into the fresh link's
+// ledger) or resolved (the reference is dropped), never longer.
 func (h *fedHub) retryOutstanding(addr, vhost string, seqs []uint64, pend map[uint64]fedPending) {
 	nl, err := h.link(addr, vhost)
 	for _, s := range seqs {
@@ -361,8 +364,12 @@ func (l *fedLink) forward(exchange, key string, m *broker.Message, target broker
 }
 
 // forwardPending ships one pending entry (fresh or replayed); on success
-// the entry's message reference is owned by the pending table.
+// the entry's message reference is owned by the pending table. That
+// reference may be the only one left (a replay holds nothing else), and
+// the confirm can resolve it as soon as mu is released, so nothing here
+// touches the message after the unlock.
 func (l *fedLink) forwardPending(p fedPending) error {
+	size := int64(len(p.msg.Body))
 	l.mu.Lock()
 	if l.dead {
 		err := l.err
@@ -372,7 +379,7 @@ func (l *fedLink) forwardPending(p fedPending) error {
 	l.seq++
 	l.pending[l.seq] = p
 	l.pub = wire.BasicPublish{Exchange: p.exchange, RoutingKey: p.key}
-	frames := l.w.AppendContentFramesZC(1, &l.pub, &p.msg.Props, p.msg.Body, l.frameMax)
+	frames := l.w.AppendContentFrames(1, &l.pub, &p.msg.Props, p.msg.Body, l.frameMax)
 	err := l.w.FlushFrames(l.nc, frames)
 	if err != nil {
 		delete(l.pending, l.seq)
@@ -382,9 +389,9 @@ func (l *fedLink) forwardPending(p fedPending) error {
 	}
 	l.mu.Unlock()
 	fedMsgs.Inc()
-	fedBytes.Add(int64(len(p.msg.Body)))
+	fedBytes.Add(size)
 	l.msgsCtx.Inc()
-	l.bytesCtx.Add(int64(len(p.msg.Body)))
+	l.bytesCtx.Add(size)
 	return nil
 }
 

@@ -346,8 +346,11 @@ func linkFlapForward(t *testing.T, dropFirst int) bool {
 		t.Fatal(err)
 	}
 
-	msg := broker.NewMessage("", "flap-q", wire.Properties{}, 64)
-	msg.AppendBody(make([]byte, 64))
+	// A multi-frame body, so the replay borrows it into the fresh link's
+	// writer: the pending ledger's reference is all that keeps it alive.
+	const size = 256 << 10
+	msg := broker.NewMessage("", "flap-q", wire.Properties{}, size)
+	msg.AppendBody(make([]byte, size))
 	defer msg.Release()
 
 	rec := &confirmRecorder{ch: make(chan bool, 1)}
@@ -368,8 +371,10 @@ func linkFlapForward(t *testing.T, dropFirst int) bool {
 // replay reached an acking master, counted in federation_retries); two
 // flaps resolve to a nack — the forward already rode its one retry, so
 // the producer's confirm machinery takes over instead of an in-process
-// replay storm.
+// replay storm. Either way the retry path hands every body loan back:
+// wire.loaned_bytes returns to its baseline.
 func TestFedLinkRetryReplaysOnce(t *testing.T) {
+	loaned := wire.LoanedBytes()
 	retries := telemetry.Default.Counter("cluster.federation_retries")
 	base := retries.Load()
 	if ok := linkFlapForward(t, 1); !ok {
@@ -380,5 +385,13 @@ func TestFedLinkRetryReplaysOnce(t *testing.T) {
 	}
 	if ok := linkFlapForward(t, 2); ok {
 		t.Fatal("double flap: a forward that already rode its retry must nack")
+	}
+	// The ledger drops its reference right after relaying the verdict.
+	deadline := time.Now().Add(5 * time.Second)
+	for wire.LoanedBytes() > loaned {
+		if time.Now().After(deadline) {
+			t.Fatalf("loaned bytes = %d after both flaps, want <= baseline %d", wire.LoanedBytes(), loaned)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -23,10 +23,13 @@ var (
 	bufPoolMisses = metrics.Default.Counter("wire.bufpool_misses")
 )
 
-// bufClassSizes are the pooled capacity classes, smallest first. The top
-// class covers a full default-size frame plus framing overhead; larger
-// requests fall through to plain allocation.
-var bufClassSizes = [...]int{1 << 10, 1 << 13, 1 << 16, DefaultFrameMax + 4096}
+// bufClassSizes are the pooled capacity classes, smallest first. The
+// frame classes end at a full default-size frame plus framing overhead
+// (frame reads and writer buffers); above it, power-of-two body classes
+// up to 4 MiB serve the body loans of multi-frame messages, so a 1 MiB
+// body recycles one buffer instead of allocating a fresh zeroed one per
+// message. Larger requests fall through to plain allocation.
+var bufClassSizes = [...]int{1 << 10, 1 << 13, 1 << 16, DefaultFrameMax + 4096, 1 << 18, 1 << 19, 1 << 20, 1 << 21, 1 << 22}
 
 var bufPools [len(bufClassSizes)]sync.Pool
 

@@ -24,10 +24,11 @@ var (
 // emitted as a single frame payload. It never fails mid-stream; errors such
 // as oversized short strings are reported by the Err method and by Flush.
 //
-// Large body payloads appended through AppendContentFramesZC are not
-// copied into the buffer: the Writer records a borrow segment instead and
-// FlushFrames emits buffer ranges and borrowed slices as one vectored
-// write. Borrowed slices must stay valid and unmodified until the flush.
+// Body chunks of zcMinBorrow bytes or more appended through
+// AppendContentFrames are not copied into the buffer: the Writer records
+// a borrow segment instead and FlushFrames emits buffer ranges and
+// borrowed slices as one vectored write. Borrowed slices must stay valid
+// and unmodified until the flush.
 type Writer struct {
 	buf []byte
 	err error

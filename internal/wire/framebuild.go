@@ -62,45 +62,30 @@ func (w *Writer) AppendMethodFrame(channel uint16, m Method) {
 	w.EndFrame(off)
 }
 
-// AppendContentFrames appends the full method + content-header + body frame
-// sequence for one content-bearing basic-class method (basic.publish,
-// basic.deliver, basic.get-ok, basic.return), splitting the body at
-// frameMax. It returns the number of frames appended.
+// zcMinBorrow is the smallest body chunk AppendContentFrames borrows
+// instead of copying. net.Buffers.WriteTo turns borrowed segments into a
+// writev only on a bare TCP socket; the client's TLS connections, the
+// netem-shaped broker links and every other wrapper get one Write per
+// segment, so each borrowed chunk costs an extra syscall and an extra
+// TLS record for the framing bytes around it. A sweep of TLS round trips
+// (bodies 4 KiB–1 MiB, thresholds 2–128 KiB) put the crossover near
+// 64 KiB: copying won by about 30% at 4 KiB and 10% at 16 KiB, the two
+// tied at 64 KiB, and borrowing won by about 15% at 100 KiB and 2x at
+// 1 MiB, where copying grows the Writer past its pool cap every message.
+const zcMinBorrow = 64 << 10
+
+// AppendContentFrames appends the full method + content-header + body
+// frame sequence for one content-bearing basic-class method
+// (basic.publish, basic.deliver, basic.get-ok, basic.return), splitting
+// the body at frameMax, and returns the number of frames appended.
+//
+// Body chunks of at least zcMinBorrow bytes are borrowed, not copied:
+// the Writer records a borrow segment and FlushFrames stitches buffer
+// ranges and borrowed slices into one vectored write. The caller must
+// keep body valid and unmodified until the frames are flushed (delivery
+// paths hold the message's refcount across the flush; the client
+// flushes a publish before Publish returns).
 func (w *Writer) AppendContentFrames(channel uint16, m Method, props *Properties, body []byte, frameMax uint32) int {
-	w.AppendMethodFrame(channel, m)
-	off := w.StartFrame(FrameHeader, channel)
-	marshalContentHeader(w, ClassBasic, uint64(len(body)), props)
-	w.EndFrame(off)
-	frames := 2
-	max := int(frameMax)
-	if max <= 0 {
-		max = DefaultFrameMax
-	}
-	for start := 0; start < len(body); start += max {
-		end := start + max
-		if end > len(body) {
-			end = len(body)
-		}
-		w.AppendRawFrame(FrameBody, channel, body[start:end])
-		frames++
-	}
-	return frames
-}
-
-// zcMinBorrow is the smallest body chunk AppendContentFramesZC borrows
-// instead of copying. Below it the memcpy is cheaper than an extra iovec
-// entry; above it the copy dominates and the chunk rides the vectored
-// write in place.
-const zcMinBorrow = 2048
-
-// AppendContentFramesZC is AppendContentFrames with zero-copy bodies:
-// body chunks of at least zcMinBorrow bytes are recorded as borrow
-// segments instead of being copied into the Writer's buffer, and
-// FlushFrames stitches buffer and borrowed slices into one vectored
-// write. The caller must keep body valid and unmodified until the
-// frames are flushed (delivery paths hold the message's refcount across
-// the flush, which guarantees exactly that).
-func (w *Writer) AppendContentFramesZC(channel uint16, m Method, props *Properties, body []byte, frameMax uint32) int {
 	w.AppendMethodFrame(channel, m)
 	off := w.StartFrame(FrameHeader, channel)
 	marshalContentHeader(w, ClassBasic, uint64(len(body)), props)
@@ -135,10 +120,10 @@ func (w *Writer) AppendContentFramesZC(channel uint16, m Method, props *Properti
 
 // FlushFrames emits every frame accumulated in the Writer with a single
 // Write call — a plain write when everything was copied in, a vectored
-// write (writev on TCP) when body segments were borrowed — resets the
-// buffer, and records the coalescing counters. frames is the number of
-// frames in the buffer (counted by the caller or returned from
-// AppendContentFrames/AppendContentFramesZC).
+// write when body segments were borrowed (writev on a bare TCP conn, one
+// Write per segment on wrapped and TLS conns) — resets the buffer, and
+// records the coalescing counters. frames is the number of frames in the
+// buffer (counted by the caller or returned from AppendContentFrames).
 func (w *Writer) FlushFrames(dst io.Writer, frames int) error {
 	if w.err != nil {
 		return w.err

@@ -5,37 +5,65 @@ import (
 	"testing"
 )
 
-// TestAppendContentFramesZCByteIdentical checks the vectored builder
-// emits byte-for-byte what the copying builder emits, across body sizes
-// below the borrow threshold, above it, and spanning multiple frames.
+// referenceContentFrames encodes the method + header + body frame
+// sequence frame by frame through WriteFrame — the encoder-independent
+// reference AppendContentFrames must reproduce byte for byte.
+func referenceContentFrames(t *testing.T, channel uint16, m Method, props *Properties, body []byte, frameMax int) ([]byte, int) {
+	t.Helper()
+	method, err := EncodeMethod(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	header, err := EncodeContentHeader(&ContentHeader{ClassID: ClassBasic, BodySize: uint64(len(body)), Properties: *props})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	frames := []Frame{{Type: FrameMethod, Channel: channel, Payload: method}, {Type: FrameHeader, Channel: channel, Payload: header}}
+	for start := 0; start < len(body); start += frameMax {
+		end := min(start+frameMax, len(body))
+		frames = append(frames, Frame{Type: FrameBody, Channel: channel, Payload: body[start:end]})
+	}
+	for _, f := range frames {
+		if err := WriteFrame(&out, f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out.Bytes(), len(frames)
+}
+
+// TestAppendContentFramesZCByteIdentical checks the zero-copy encoder's
+// flushed output is byte-for-byte the frame-by-frame WriteFrame
+// reference, across body sizes below the borrow threshold, at it, above
+// it, and spanning multiple frames with a copied tail.
 func TestAppendContentFramesZCByteIdentical(t *testing.T) {
 	props := Properties{ContentType: "application/octet-stream", MessageID: "zc-1"}
-	for _, size := range []int{0, 1, zcMinBorrow - 1, zcMinBorrow, 4096, DefaultFrameMax, DefaultFrameMax*2 + 777} {
+	sizes := []int{0, 1, zcMinBorrow - 1, zcMinBorrow, zcMinBorrow + 1, 16 << 10,
+		DefaultFrameMax, DefaultFrameMax*2 + 777, 1 << 20}
+	for _, size := range sizes {
 		body := make([]byte, size)
 		for i := range body {
-			body[i] = byte(i)
+			body[i] = byte(i * 7)
 		}
 		m := &BasicDeliver{ConsumerTag: "c", DeliveryTag: 9, Exchange: "e", RoutingKey: "k"}
+		want, wantFrames := referenceContentFrames(t, 7, m, &props, body, DefaultFrameMax)
 
-		plain := NewWriter()
-		framesPlain := plain.AppendContentFrames(7, m, &props, body, DefaultFrameMax)
-		var wantBuf bytes.Buffer
-		if err := plain.FlushFrames(&wantBuf, framesPlain); err != nil {
+		w := GetWriter()
+		frames := w.AppendContentFrames(7, m, &props, body, DefaultFrameMax)
+		if w.Len() != len(want) {
+			t.Fatalf("size %d: Len() = %d before flush, want %d", size, w.Len(), len(want))
+		}
+		var got bytes.Buffer
+		if err := w.FlushFrames(&got, frames); err != nil {
 			t.Fatal(err)
 		}
+		PutWriter(w)
 
-		zc := NewWriter()
-		framesZC := zc.AppendContentFramesZC(7, m, &props, body, DefaultFrameMax)
-		var gotBuf bytes.Buffer
-		if err := zc.FlushFrames(&gotBuf, framesZC); err != nil {
-			t.Fatal(err)
+		if frames != wantFrames {
+			t.Fatalf("size %d: frame count %d, want %d", size, frames, wantFrames)
 		}
-
-		if framesPlain != framesZC {
-			t.Fatalf("size %d: frame count %d (zc) != %d (plain)", size, framesZC, framesPlain)
-		}
-		if !bytes.Equal(gotBuf.Bytes(), wantBuf.Bytes()) {
-			t.Fatalf("size %d: vectored output differs from copying output", size)
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Fatalf("size %d: encoder output differs from the WriteFrame reference", size)
 		}
 	}
 }
@@ -45,10 +73,10 @@ func TestAppendContentFramesZCByteIdentical(t *testing.T) {
 func TestZCWriterReuseAfterFlush(t *testing.T) {
 	w := NewWriter()
 	props := Properties{}
-	big := bytes.Repeat([]byte{0xAB}, 8192)
+	big := bytes.Repeat([]byte{0xAB}, zcMinBorrow)
 
 	var first bytes.Buffer
-	frames := w.AppendContentFramesZC(1, &BasicDeliver{DeliveryTag: 1}, &props, big, DefaultFrameMax)
+	frames := w.AppendContentFrames(1, &BasicDeliver{DeliveryTag: 1}, &props, big, DefaultFrameMax)
 	if err := w.FlushFrames(&first, frames); err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +87,7 @@ func TestZCWriterReuseAfterFlush(t *testing.T) {
 		big[i] = 0xCD
 	}
 	var second bytes.Buffer
-	frames = w.AppendContentFramesZC(1, &BasicDeliver{DeliveryTag: 2}, &props, bytes.Repeat([]byte{0xEF}, 64), DefaultFrameMax)
+	frames = w.AppendContentFrames(1, &BasicDeliver{DeliveryTag: 2}, &props, bytes.Repeat([]byte{0xEF}, 64), DefaultFrameMax)
 	if err := w.FlushFrames(&second, frames); err != nil {
 		t.Fatal(err)
 	}
